@@ -87,7 +87,7 @@ fn serve_spec() -> ServeSpec {
 /// entries can land before their baseline is regenerated.
 fn scenarios() -> Vec<Entry> {
     let fig12 = fig12_scenario();
-    // A single-node mix (same shape as the `simulator` criterion bench).
+    // A single-node mix: two app kinds sharing one GPU.
     let single = Scenario::single_node(
         StackConfig::strings(LbPolicy::GMin),
         vec![

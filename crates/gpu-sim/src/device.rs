@@ -16,6 +16,16 @@
 //!   facing half of Strings' RT-signal sleep/wake mechanism, used by the
 //!   TFS/LAS/PS device-level policies.
 //!
+//! Stream entries are created on demand and dropped once drained: a
+//! context's stream table holds an entry only while that stream has queued
+//! or running work, or a gate. An ungated, empty, idle stream is
+//! indistinguishable from an absent one, so dropping it changes nothing
+//! observable — but it keeps every per-step scan (dispatch, readiness,
+//! pending counts) proportional to the live streams rather than to every
+//! stream the device has ever served, which matters when each request gets
+//! a private stream. Submitting to or gating a dropped stream recreates it;
+//! ungating a drained stream drops it.
+//!
 //! The device is passive: the simulation executive calls [`Device::step`]
 //! after any mutation or elapsed event, harvests completions
 //! ([`Device::take_completions_into`] on the hot path,
@@ -151,6 +161,18 @@ impl CtxState {
 
     fn pending(&self) -> usize {
         self.inflight_jobs + self.streams.values().map(|s| s.queue.len()).sum::<usize>()
+    }
+
+    /// Drop `stream`'s entry if it is ungated and drained: its state then
+    /// equals `Default`, so no query can tell it from an absent entry.
+    fn prune(&mut self, stream: StreamId) {
+        if self
+            .streams
+            .get(stream)
+            .is_some_and(|s| !s.gated && s.inflight.is_none() && s.queue.is_empty())
+        {
+            self.streams.remove(stream);
+        }
     }
 }
 
@@ -358,10 +380,17 @@ impl Device {
     }
 
     /// Pause (`gated = true`) or resume a stream. Running jobs continue;
-    /// only new dispatches are withheld.
+    /// only new dispatches are withheld. Resuming a drained stream drops
+    /// its entry.
     pub fn set_stream_gate(&mut self, ctx: ContextId, stream: StreamId, gated: bool) {
-        if let Some(state) = self.contexts.get_mut(ctx) {
-            state.streams.get_or_insert_default(stream).gated = gated;
+        let Some(state) = self.contexts.get_mut(ctx) else {
+            return;
+        };
+        if gated {
+            state.streams.get_or_insert_default(stream).gated = true;
+        } else if let Some(ss) = state.streams.get_mut(stream) {
+            ss.gated = false;
+            state.prune(stream);
         }
     }
 
@@ -417,6 +446,7 @@ impl Device {
             return Vec::new();
         };
         let cancelled: Vec<JobId> = ss.queue.drain(..).map(|j| j.id).collect();
+        c.prune(stream);
         for id in &cancelled {
             let slot = self.submit_slot(*id);
             self.submit_times[slot] = SimTime::MAX;
@@ -533,6 +563,7 @@ impl Device {
         debug_assert_eq!(ss.inflight, Some(job.id));
         ss.inflight = None;
         ctx.inflight_jobs -= 1;
+        ctx.prune(job.stream);
         let slot = self.submit_slot(job.id);
         let submitted_at = std::mem::replace(&mut self.submit_times[slot], SimTime::MAX);
         assert!(submitted_at != SimTime::MAX, "job without submit time");
@@ -1187,6 +1218,115 @@ mod tests {
                 c.job.tag
             );
         }
+    }
+
+    /// Entries in `ctx`'s stream table.
+    fn stream_entries(d: &Device, ctx: ContextId) -> usize {
+        d.contexts.get(ctx).map_or(0, |c| c.streams.len())
+    }
+
+    #[test]
+    fn drained_private_streams_are_dropped() {
+        // One private stream per request, as with Strings' per-request
+        // streams: the table must hold only the live ones.
+        let mut d = dev();
+        let c = ContextId(0);
+        d.create_context(c);
+        let mut now = 0;
+        for i in 1..=40 {
+            let s = StreamId(i);
+            d.submit(c, s, h2d(6_000), 2 * i as u64, now).unwrap();
+            d.submit(c, s, kernel(50_000), 2 * i as u64 + 1, now)
+                .unwrap();
+            assert_eq!(stream_entries(&d, c), 1, "only the live stream");
+            let (end, done) = run_to_idle(&mut d, now);
+            assert_eq!(done.len(), 2);
+            assert_eq!(stream_entries(&d, c), 0, "stream {i} dropped once drained");
+            now = end;
+        }
+        assert_eq!(d.telemetry.kernels_completed, 40);
+        assert_eq!(d.telemetry.copies_completed, 40);
+    }
+
+    #[test]
+    fn pruned_stream_reads_as_absent() {
+        let mut d = dev();
+        let c = ContextId(0);
+        d.create_context(c);
+        let (served, never) = (StreamId(5), StreamId(6));
+        d.submit(c, served, kernel(1_000_000), 1, 0).unwrap();
+        run_to_idle(&mut d, 0);
+        for s in [served, never] {
+            assert!(d.stream_head_kind(c, s).is_none());
+            assert!(!d.stream_busy(c, s));
+            assert!(!d.stream_has_work(c, s));
+        }
+        assert_eq!(d.pending_jobs(c), 0);
+        // Ungating an absent stream does not create it.
+        d.set_stream_gate(c, never, false);
+        assert_eq!(stream_entries(&d, c), 0);
+    }
+
+    #[test]
+    fn resubmitting_or_gating_recreates_a_pruned_stream() {
+        let mut d = dev();
+        let c = ContextId(0);
+        d.create_context(c);
+        let s = StreamId(3);
+        d.submit(c, s, kernel(1_000_000), 1, 0).unwrap();
+        let (now, _) = run_to_idle(&mut d, 0);
+        assert_eq!(stream_entries(&d, c), 0);
+        // Resubmission recreates the entry and runs as on a fresh stream.
+        d.submit(c, s, h2d(1024), 2, now).unwrap();
+        assert!(d.stream_has_work(c, s));
+        assert!(matches!(
+            d.stream_head_kind(c, s),
+            Some(JobKind::Copy { .. })
+        ));
+        let (now, done) = run_to_idle(&mut d, now);
+        assert_eq!(done.len(), 1);
+        assert_eq!(stream_entries(&d, c), 0);
+        // Gating recreates it too, and the gate holds back new work.
+        d.set_stream_gate(c, s, true);
+        assert_eq!(stream_entries(&d, c), 1);
+        d.submit(c, s, kernel(1_000_000), 3, now).unwrap();
+        d.step(now);
+        assert_eq!(d.next_event_time(now), None, "gated work must not run");
+        d.set_stream_gate(c, s, false);
+        let (end, done) = run_to_idle(&mut d, now);
+        assert_eq!(done.len(), 1);
+        assert_eq!(end, now + 1_000_000);
+        assert_eq!(stream_entries(&d, c), 0);
+    }
+
+    #[test]
+    fn gated_drained_stream_keeps_its_gate() {
+        let mut d = dev();
+        let c = ContextId(0);
+        d.create_context(c);
+        let s = StreamId(1);
+        d.submit(c, s, kernel(1_000_000), 1, 0).unwrap();
+        d.step(0);
+        assert!(d.stream_busy(c, s));
+        // Gated while its kernel runs: the kernel finishes, the gate stays.
+        d.set_stream_gate(c, s, true);
+        let (now, done) = run_to_idle(&mut d, 0);
+        assert_eq!(done.len(), 1);
+        assert_eq!(stream_entries(&d, c), 1, "gated stream kept while drained");
+        d.submit(c, s, kernel(1_000_000), 2, now).unwrap();
+        d.step(now);
+        assert_eq!(d.next_event_time(now), None, "the kept gate still holds");
+        // Lifting the gate of a stream with queued work keeps the entry.
+        d.set_stream_gate(c, s, false);
+        assert_eq!(stream_entries(&d, c), 1);
+        let (now, done) = run_to_idle(&mut d, now);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].started_at, now - 1_000_000);
+        assert_eq!(stream_entries(&d, c), 0);
+        // Lifting the gate of a drained stream drops it with its gate.
+        d.set_stream_gate(c, s, true);
+        d.set_stream_gate(c, s, false);
+        assert_eq!(stream_entries(&d, c), 0);
     }
 
     #[test]

@@ -77,6 +77,8 @@ struct AppInstance {
     class: WorkloadClass,
     node: NodeId,
     tenant: TenantId,
+    /// Index of `tenant` in [`World::tenant_ids`].
+    tenant_slot: u32,
     weight: f64,
     slot: usize,
     gid: Option<Gid>,
@@ -273,6 +275,12 @@ pub struct World {
     next_stream: u32,
     finished: usize,
     fairness_horizon: Option<SimTime>,
+    /// The planned requests' tenants, ascending and deduplicated.
+    tenant_ids: Vec<TenantId>,
+    /// Engine service credited per [`World::tenant_ids`] entry within the
+    /// fairness horizon (`None` until first credited); folded into
+    /// [`RunStats::tenant_service_ns`] at the end of the run.
+    tenant_service: Vec<Option<u64>>,
     stats: RunStats,
     /// Hard cap on processed events (runaway guard).
     max_events: u64,
@@ -374,6 +382,9 @@ impl World {
             }
         }
         let n_slots = requests.iter().map(|r| r.slot + 1).max().unwrap_or(1);
+        let mut tenant_ids: Vec<TenantId> = requests.iter().map(|r| r.tenant).collect();
+        tenant_ids.sort_unstable();
+        tenant_ids.dedup();
         let slot_inflight = vec![0; n_slots];
         let slot_backlog = (0..n_slots).map(|_| VecDeque::new()).collect();
         let mut queue = EventQueue::new();
@@ -418,6 +429,8 @@ impl World {
             next_stream: 1,
             finished: 0,
             fairness_horizon,
+            tenant_service: vec![None; tenant_ids.len()],
+            tenant_ids,
             stats: RunStats {
                 completions: CompletionSet::new(n_slots),
                 ..Default::default()
@@ -926,6 +939,12 @@ impl World {
         self.stats.peak_queue_depth = self.queue.peak_len() as u64;
         self.stats.peak_live_queue_depth = self.queue.peak_live_len() as u64;
         self.stats.completed_requests = self.finished as u64;
+        self.stats.tenant_service_ns = self
+            .tenant_ids
+            .iter()
+            .zip(&self.tenant_service)
+            .filter_map(|(&t, s)| s.map(|s| (t, s)))
+            .collect();
         self.stats.device_telemetry = self.devices.iter().map(|d| d.telemetry.clone()).collect();
         self.stats.context_switches = self
             .devices
@@ -1475,6 +1494,10 @@ impl World {
             class: r.class,
             node: r.node,
             tenant: r.tenant,
+            tenant_slot: self
+                .tenant_ids
+                .binary_search(&r.tenant)
+                .expect("tenant of a planned request") as u32,
             weight: r.weight,
             slot: r.slot,
             gid: None,
@@ -2143,6 +2166,14 @@ impl World {
         self.device_apps[gid.index()].retain(|a| *a != app);
         self.epoch_idle_ok[gid.index()] = false;
         self.unbind_gid(gid, node, class);
+        let stream = self.app(app).stream;
+        let device = &mut self.devices[gid.index()];
+        if stream != StreamId::DEFAULT && !device.stream_has_work(ctx, stream) {
+            // A drained private stream dies with its app: lifting its gate
+            // drops its entry. The shared default stream's gate may still
+            // matter to other apps.
+            device.set_stream_gate(ctx, stream, false);
+        }
         if !self.cfg.design.shares_context() {
             // Design I: the app's private backend process and context die.
             self.registry.destroy(ctx);
@@ -2241,7 +2272,7 @@ impl World {
             // Fairness horizon accounting uses true engine service.
             if self.fairness_horizon.is_none_or(|h| c.finished_at <= h) {
                 if let Some(Some(a)) = self.apps.get(app.index()) {
-                    *self.stats.tenant_service_ns.entry(a.tenant).or_insert(0) += service;
+                    *self.tenant_service[a.tenant_slot as usize].get_or_insert(0) += service;
                 }
             }
             // Rain cannot separate context-switch overhead from measured

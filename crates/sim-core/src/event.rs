@@ -29,9 +29,13 @@
 //! every state change.
 //!
 //! Keyed wakeups never touch the wheel in the common case. Each key owns a
-//! one-entry *slot* beside the wheel; scheduling parks the entry there in
-//! O(1) and [`EventQueue::invalidate`] cancels it in O(1) — tallied in
-//! [`EventQueue::cancelled`]. Only when a second wakeup is scheduled while
+//! one-entry *slot* beside the wheel; scheduling parks the entry there and
+//! [`EventQueue::invalidate`] empties the slot — tallied in
+//! [`EventQueue::cancelled`]. The earliest parked entry across all slots
+//! is kept by a tournament tree over the slots (each inner node holds the
+//! earlier of its two children), so parking, cancelling and popping a
+//! keyed wakeup each cost O(log K) for K registered keys, and finding the
+//! cross-slot minimum is O(1). Only when a second wakeup is scheduled while
 //! one is already parked (a component rescheduling without superseding)
 //! does the parked entry spill into the wheel, where a later invalidation
 //! kills it lazily at pop time ([`EventQueue::stale_pops`], ~0 in
@@ -164,7 +168,7 @@ struct KeySlot<E> {
 ///
 /// Plain events pop in `(time, insertion-order)` order; a self-rescheduling
 /// component uses a keyed slot so a superseded wakeup can be cancelled in
-/// O(1) instead of being popped and discarded:
+/// place instead of being popped and discarded:
 ///
 /// ```
 /// use sim_core::event::EventQueue;
@@ -207,8 +211,13 @@ pub struct EventQueue<E> {
     popped: u64,
     clamped: u64,
     slots: Vec<KeySlot<E>>,
-    /// Index of the parked entry with the smallest `(time, seq)`, if any.
-    min_slot: Option<u32>,
+    /// [`order_key`] of each slot's parked entry, `u128::MAX` when empty;
+    /// padded with empties to a power of two (the tree's leaves).
+    slot_keys: Vec<u128>,
+    /// Tournament tree over `slot_keys`: node `i` holds the index of the
+    /// smaller of its children `2i` and `2i + 1`; leaf `slot_keys.len() + k`
+    /// holds `k`, and node 1 names the earliest parked entry.
+    slot_tree: Vec<u32>,
     /// Number of slots with a parked entry.
     parked_count: usize,
     /// `(time << 64) | seq` of cancelled parked entries, drained at the pop
@@ -228,8 +237,9 @@ pub struct EventQueue<E> {
     cur_cause: u64,
 }
 
+/// `(time << 64) | seq`: the queue's `(time, seq)` order as one integer.
 #[inline]
-fn grave_key(time: SimTime, seq: u64) -> u128 {
+fn order_key(time: SimTime, seq: u64) -> u128 {
     ((time as u128) << 64) | seq as u128
 }
 
@@ -253,7 +263,8 @@ impl<E> EventQueue<E> {
             popped: 0,
             clamped: 0,
             slots: Vec::new(),
-            min_slot: None,
+            slot_keys: vec![u128::MAX],
+            slot_tree: vec![0, 0],
             parked_count: 0,
             graveyard: BinaryHeap::new(),
             dead_in_wheel: 0,
@@ -385,7 +396,65 @@ impl<E> EventQueue<E> {
             pending: None,
             spilled_live: 0,
         });
+        if self.slots.len() > self.slot_keys.len() {
+            // Double the tree's leaves and rebuild it bottom-up.
+            let cap = self.slot_keys.len() * 2;
+            self.slot_keys.resize(cap, u128::MAX);
+            self.slot_tree = (0..2 * cap as u32)
+                .map(|n| n.saturating_sub(cap as u32))
+                .collect();
+            for n in (1..cap).rev() {
+                self.slot_tree[n] = self.earlier_child(n);
+            }
+        }
         EventKey(idx)
+    }
+
+    /// The slot index that wins at inner node `n`.
+    #[inline]
+    fn earlier_child(&self, n: usize) -> u32 {
+        let (a, b) = (self.slot_tree[2 * n], self.slot_tree[2 * n + 1]);
+        if self.slot_keys[a as usize] <= self.slot_keys[b as usize] {
+            a
+        } else {
+            b
+        }
+    }
+
+    /// Set slot `key`'s parked `(time, seq)` (`u128::MAX` when emptied) and
+    /// replay its matches towards the root, stopping at the first match
+    /// whose winner cannot change.
+    #[inline]
+    fn set_slot_key(&mut self, key: u32, value: u128) {
+        let rose = value > self.slot_keys[key as usize];
+        self.slot_keys[key as usize] = value;
+        let mut n = (self.slot_keys.len() + key as usize) / 2;
+        while n > 0 {
+            let winner = self.slot_tree[n];
+            if rose {
+                // Later than before: only the matches `key` had won change.
+                if winner != key {
+                    break;
+                }
+                self.slot_tree[n] = self.earlier_child(n);
+            } else {
+                // Earlier than before: `key` wins up to the first winner
+                // that is earlier still (values are unique but for MAX).
+                if winner != key && self.slot_keys[winner as usize] < value {
+                    break;
+                }
+                self.slot_tree[n] = key;
+            }
+            n /= 2;
+        }
+    }
+
+    /// `(time, seq, key)` of the earliest parked entry.
+    #[inline]
+    fn slot_min(&self) -> Option<(SimTime, u64, u32)> {
+        let k = self.slot_tree[1];
+        let v = self.slot_keys[k as usize];
+        (v != u128::MAX).then_some(((v >> 64) as SimTime, v as u64, k))
     }
 
     /// Schedule `event` at absolute time `at` under `key`: the entry is
@@ -410,7 +479,7 @@ impl<E> EventQueue<E> {
             cause,
             event,
         };
-        let (t, s) = (entry.time, entry.seq);
+        let parked = order_key(entry.time, entry.seq);
         if let Some(prev) = slot.pending.replace(entry) {
             // Rare: a second live wakeup for the same key. The older one
             // spills into the wheel so both dispatch in (time, seq) order.
@@ -418,29 +487,20 @@ impl<E> EventQueue<E> {
             // so the spill is live until the next invalidate.
             slot.spilled_live += 1;
             self.insert(prev);
-            // The parked entry changed, so the cross-slot minimum may have
-            // moved to another key.
-            self.rescan_min();
         } else {
             self.parked_count += 1;
-            match self.min_slot {
-                Some(m) => {
-                    let q = self.slots[m as usize].pending.as_ref().unwrap();
-                    if (t, s) < (q.time, q.seq) {
-                        self.min_slot = Some(key.0);
-                    }
-                }
-                None => self.min_slot = Some(key.0),
-            }
         }
+        self.set_slot_key(key.0, parked);
         self.note_depth();
     }
 
     /// Cancel the wakeup(s) currently scheduled under `key`. The parked
-    /// entry (if any) dies here in O(1), never touching the wheel; its
-    /// `(time, seq)` is kept in a graveyard and accounted at exactly the
-    /// pop position the legacy dispatch-and-discard path would have popped
-    /// it, so [`EventQueue::popped`] is unchanged. Wheel-spilled entries die
+    /// entry (if any) dies in its slot, never touching the wheel, in
+    /// O(log K) for K registered keys (a graveyard push plus one replay
+    /// of the slot tree); its `(time, seq)` is kept in the graveyard and
+    /// accounted at exactly the pop position the legacy
+    /// dispatch-and-discard path would have popped it, so
+    /// [`EventQueue::popped`] is unchanged. Wheel-spilled entries die
     /// lazily at their own pop position ([`EventQueue::stale_pops`]).
     #[inline]
     pub fn invalidate(&mut self, key: EventKey) {
@@ -453,21 +513,9 @@ impl<E> EventQueue<E> {
         if let Some(p) = slot.pending.take() {
             self.parked_count -= 1;
             self.cancelled += 1;
-            self.graveyard.push(Reverse(grave_key(p.time, p.seq)));
-            if self.min_slot == Some(key.0) {
-                self.rescan_min();
-            }
+            self.graveyard.push(Reverse(order_key(p.time, p.seq)));
+            self.set_slot_key(key.0, u128::MAX);
         }
-    }
-
-    fn rescan_min(&mut self) {
-        self.min_slot = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.pending.as_ref().map(|p| (p.time, p.seq, i as u32)))
-            .min()
-            .map(|(_, _, i)| i);
     }
 
     /// Route an entry into its wheel bucket, or to the calendar overflow
@@ -580,7 +628,7 @@ impl<E> EventQueue<E> {
     /// counter, exactly as the legacy path popped-and-discarded it. (They
     /// were already tallied in [`EventQueue::cancelled`] when invalidated.)
     fn reap_before(&mut self, time: SimTime, seq: u64) {
-        let cutoff = grave_key(time, seq);
+        let cutoff = order_key(time, seq);
         while let Some(&Reverse(g)) = self.graveyard.peek() {
             if g >= cutoff {
                 break;
@@ -606,10 +654,7 @@ impl<E> EventQueue<E> {
                 // cascading — the window only advances if it actually wins.
                 None => self.overflow.peek().map(|Reverse(s)| (s.time, s.seq)),
             };
-            let slot_at = self.min_slot.map(|i| {
-                let p = self.slots[i as usize].pending.as_ref().unwrap();
-                (p.time, p.seq)
-            });
+            let slot_at = self.slot_min().map(|(t, s, _)| (t, s));
             let from_wheel = match (wheel_at, slot_at) {
                 (None, None) => {
                     // Drained: account any trailing cancelled entries the
@@ -631,10 +676,13 @@ impl<E> EventQueue<E> {
                     }
                 }
             } else {
-                let i = self.min_slot.expect("checked above") as usize;
-                let s = self.slots[i].pending.take().expect("min slot occupied");
+                let (_, _, i) = self.slot_min().expect("checked above");
+                let s = self.slots[i as usize]
+                    .pending
+                    .take()
+                    .expect("min slot occupied");
                 self.parked_count -= 1;
-                self.rescan_min();
+                self.set_slot_key(i, u128::MAX);
                 s
             };
             self.reap_before(s.time, s.seq);
@@ -663,13 +711,7 @@ impl<E> EventQueue<E> {
             Some((_, _, t, _)) => Some(t),
             None => self.overflow.peek().map(|Reverse(s)| s.time),
         };
-        let slot = self.min_slot.map(|i| {
-            self.slots[i as usize]
-                .pending
-                .as_ref()
-                .expect("min slot occupied")
-                .time
-        });
+        let slot = self.slot_min().map(|(t, _, _)| t);
         let grave = self
             .graveyard
             .peek()
@@ -891,7 +933,7 @@ mod tests {
         let k = q.register_key();
         q.schedule_keyed(k, 10, "spilled");
         q.schedule_keyed(k, 30, "parked");
-        q.invalidate(k); // kills both: the parked one in O(1), the spilled one lazily
+        q.invalidate(k); // kills both: the parked one in its slot, the spilled one lazily
         q.schedule(20, "plain");
         assert_eq!(q.pop(), Some((20, "plain")));
         assert_eq!(q.popped(), 2, "spilled stale skipped first");
@@ -1170,6 +1212,262 @@ mod differential {
         drain_both(&mut q, &mut h);
         assert!(q.cancelled() > 40_000, "storm actually cancelled heavily");
         assert_eq!(q.clamped(), 0);
+    }
+
+    /// The legacy all-in-heap queue with the slot queue's accounting
+    /// derived from first principles, for checking every counter at
+    /// cluster key counts. A key's *parked* entry is its latest keyed
+    /// schedule while that entry is neither popped nor invalidated; a
+    /// keyed schedule that finds one parked *spills* it. Invalidating a
+    /// parked entry counts as `cancelled`; a spilled entry popped after its
+    /// key was invalidated counts as a stale pop. Depth is the heap length
+    /// (corpses included) and live depth excludes entries whose key moved
+    /// on — both sampled after every schedule, as the queue does.
+    struct AccountingModel {
+        heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+        /// Per entry seq: key (`NO_KEY` when plain) and generation.
+        entries: Vec<(u32, u64)>,
+        spilled: Vec<bool>,
+        gens: Vec<u64>,
+        parked: Vec<Option<u64>>,
+        /// Live entries per key (parked or spilled, current generation).
+        live: Vec<usize>,
+        dead: usize,
+        now: SimTime,
+        popped: u64,
+        cancelled: u64,
+        stale_pops: u64,
+        peak_len: usize,
+        peak_live: usize,
+        /// Coverage: spills, invalidations of the minimum parked entry,
+        /// and keyed pops served from a slot.
+        spills: u64,
+        min_slot_invalidations: u64,
+        slot_pops: u64,
+    }
+
+    impl AccountingModel {
+        fn new(keys: usize) -> Self {
+            AccountingModel {
+                heap: BinaryHeap::new(),
+                entries: Vec::new(),
+                spilled: Vec::new(),
+                gens: vec![0; keys],
+                parked: vec![None; keys],
+                live: vec![0; keys],
+                dead: 0,
+                now: 0,
+                popped: 0,
+                cancelled: 0,
+                stale_pops: 0,
+                peak_len: 0,
+                peak_live: 0,
+                spills: 0,
+                min_slot_invalidations: 0,
+                slot_pops: 0,
+            }
+        }
+
+        fn push(&mut self, at: SimTime, key: u32) -> u64 {
+            let seq = self.entries.len() as u64;
+            let gen = if key == NO_KEY {
+                0
+            } else {
+                self.gens[key as usize]
+            };
+            self.entries.push((key, gen));
+            self.spilled.push(false);
+            self.heap.push(Reverse((at.max(self.now), seq)));
+            seq
+        }
+
+        fn note_depth(&mut self) {
+            self.peak_len = self.peak_len.max(self.heap.len());
+            self.peak_live = self.peak_live.max(self.heap.len() - self.dead);
+        }
+
+        fn schedule(&mut self, at: SimTime) {
+            self.push(at, NO_KEY);
+            self.note_depth();
+        }
+
+        fn schedule_keyed(&mut self, k: usize, at: SimTime) {
+            let seq = self.push(at, k as u32);
+            if let Some(prev) = self.parked[k].replace(seq) {
+                self.spilled[prev as usize] = true;
+                self.spills += 1;
+            }
+            self.live[k] += 1;
+            self.note_depth();
+        }
+
+        /// The key whose parked entry is the earliest, if any is parked.
+        fn min_parked_key(&self) -> Option<usize> {
+            (0..self.parked.len())
+                .filter_map(|k| {
+                    let seq = self.parked[k]?;
+                    Some((self.entry_time(seq), seq, k))
+                })
+                .min()
+                .map(|(_, _, k)| k)
+        }
+
+        /// The first key at or after `k` (cyclically) with a parked entry.
+        fn parked_key_from(&self, k: usize) -> Option<usize> {
+            let n = self.parked.len();
+            (k..k + n)
+                .map(|i| i % n)
+                .find(|&i| self.parked[i].is_some())
+        }
+
+        fn entry_time(&self, seq: u64) -> SimTime {
+            self.heap
+                .iter()
+                .find(|Reverse((_, s))| *s == seq)
+                .map(|Reverse((t, _))| *t)
+                .expect("parked entry is queued")
+        }
+
+        fn invalidate(&mut self, k: usize) {
+            if self.parked[k].is_some() && self.min_parked_key() == Some(k) {
+                self.min_slot_invalidations += 1;
+            }
+            if self.parked[k].take().is_some() {
+                self.cancelled += 1;
+            }
+            self.gens[k] += 1;
+            self.dead += self.live[k];
+            self.live[k] = 0;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            while let Some(Reverse((t, seq))) = self.heap.pop() {
+                self.now = t;
+                self.popped += 1;
+                let (key, gen) = self.entries[seq as usize];
+                if key == NO_KEY {
+                    return Some((t, seq));
+                }
+                let k = key as usize;
+                if self.gens[k] != gen {
+                    self.dead -= 1;
+                    if self.spilled[seq as usize] {
+                        self.stale_pops += 1;
+                    }
+                    continue;
+                }
+                self.live[k] -= 1;
+                if self.parked[k] == Some(seq) {
+                    self.parked[k] = None;
+                    self.slot_pops += 1;
+                }
+                return Some((t, seq));
+            }
+            None
+        }
+    }
+
+    fn assert_accounting(q: &EventQueue<u64>, m: &AccountingModel, at: &str) {
+        assert_eq!(q.popped(), m.popped, "popped diverged {at}");
+        assert_eq!(q.now(), m.now, "clock diverged {at}");
+        assert_eq!(q.cancelled(), m.cancelled, "cancelled diverged {at}");
+        assert_eq!(q.stale_pops(), m.stale_pops, "stale_pops diverged {at}");
+        assert_eq!(q.peak_len(), m.peak_len, "peak_len diverged {at}");
+        assert_eq!(
+            q.peak_live_len(),
+            m.peak_live,
+            "peak_live_len diverged {at}"
+        );
+        assert_eq!(q.len(), m.heap.len(), "len diverged {at}");
+        assert_eq!(
+            q.live_len(),
+            m.heap.len() - m.dead,
+            "live_len diverged {at}"
+        );
+    }
+
+    /// The cross-slot minimum at the key count of a 64x4 cluster (one key
+    /// per device): 256 keys of which a few dozen hold a parked wakeup at
+    /// any moment, with spills, invalidations of the slot that holds the
+    /// minimum, and pops served from the slots. Pops must match the
+    /// legacy heap and every counter must match the accounting model.
+    #[test]
+    fn cluster_key_count_matches_heap_and_accounting() {
+        const KEYS: usize = 256;
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let keys: Vec<EventKey> = (0..KEYS).map(|_| q.register_key()).collect();
+        let mut h: HeapQueue<u64> = HeapQueue::new(KEYS);
+        let mut m = AccountingModel::new(KEYS);
+
+        let mut x: u64 = 0x1319_8a2e_0370_7344;
+        for i in 0..60_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let k = (x >> 24) as usize % KEYS;
+            let now = h.now();
+            let at = now + 200 + ((x >> 13) & 0x7_ffff);
+            let payload = h.next_seq;
+            match (x >> 60) as u8 {
+                // A device superseding its own wakeup.
+                0..=4 => {
+                    q.invalidate(keys[k]);
+                    h.invalidate(k);
+                    m.invalidate(k);
+                    q.schedule_keyed(keys[k], at, payload);
+                    h.schedule_keyed(k, at, payload);
+                    m.schedule_keyed(k, at);
+                }
+                // A second live wakeup for a key with one parked: a spill.
+                5 | 6 => {
+                    let k = m.parked_key_from(k).unwrap_or(k);
+                    q.schedule_keyed(keys[k], at, payload);
+                    h.schedule_keyed(k, at, payload);
+                    m.schedule_keyed(k, at);
+                }
+                // Cancel whichever slot holds the cross-slot minimum.
+                7 => {
+                    if let Some(k) = m.min_parked_key() {
+                        q.invalidate(keys[k]);
+                        h.invalidate(k);
+                        m.invalidate(k);
+                    }
+                }
+                // Plain traffic, some of it past the near window.
+                8 => {
+                    let far = if x & 31 == 0 { SPAN * 2 } else { 0 };
+                    q.schedule(at + far, payload);
+                    h.schedule(at + far, payload);
+                    m.schedule(at + far);
+                }
+                _ => {
+                    let got = q.pop();
+                    assert_eq!(got, h.pop(), "pop diverged from heap at step {i}");
+                    assert_eq!(got.map(|(t, _)| t), m.pop().map(|(t, _)| t));
+                    assert_accounting(&q, &m, &format!("at step {i}"));
+                }
+            }
+        }
+        loop {
+            let got = q.pop();
+            assert_eq!(got, h.pop(), "drain diverged from heap");
+            assert_eq!(got.map(|(t, _)| t), m.pop().map(|(t, _)| t));
+            assert_accounting(&q, &m, "in the drain");
+            if got.is_none() {
+                break;
+            }
+        }
+        assert_eq!(q.popped(), h.popped());
+        assert!(m.spills > 3_000, "spills exercised: {}", m.spills);
+        assert!(m.stale_pops > 300, "stale spills popped: {}", m.stale_pops);
+        assert!(
+            m.min_slot_invalidations > 1_500,
+            "minimum-slot invalidations exercised: {}",
+            m.min_slot_invalidations
+        );
+        assert!(m.slot_pops > 5_000, "slot-path pops: {}", m.slot_pops);
+        assert!(m.cancelled > 2_000, "cancellations: {}", m.cancelled);
+        assert!(m.peak_live < m.peak_len, "corpses raised the legacy depth");
     }
 
     mod proptests {
